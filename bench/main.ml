@@ -11,12 +11,12 @@
      dune exec bench/main.exe -- -j 8       # matrix on 8 domains
      dune exec bench/main.exe -- --no-cache # ignore bench/.cache
      dune exec bench/main.exe -- --audit    # restriction provenance
-                                            # (implies --no-cache)
+                                            # (audited cells never use
+                                            # the cache)
      dune exec bench/main.exe -- --sample 5000:2000:20  # two-tier sampled
                                             # engine: cycles become
-                                            # estimates (implies
-                                            # --no-cache, excludes
-                                            # --audit)
+                                            # estimates (never cached,
+                                            # excludes --audit)
      dune exec bench/main.exe -- --progress # live status line (stderr)
      dune exec bench/main.exe -- --progress-file progress.json
      dune exec bench/main.exe -- --metrics metrics.prom  # OpenMetrics
@@ -27,26 +27,25 @@
      dune exec bench/main.exe -- --cache-prune 30  # delete stale store
                                             # entries, run nothing
 
-   Every (config, workload, policy) simulation the figures need is
-   independent, so the matrix is computed up front on a domain pool
-   (-j N, default all cores) and memoized; figures then only read the
-   memo.  Results are deterministic: -j N output is bit-identical to
-   -j 1.  Finished cells are also persisted under bench/.cache keyed by
-   config digest + workload + policy + a digest of this executable, so
-   a warm re-run (e.g. --only fig3 after a full run) replays from disk
-   instead of re-simulating; any rebuild or config change misses.  Each
-   run also drops BENCH_matrix.json (per-cell wall clock + totals) in
-   the working directory. *)
+   Every (config, workload, policy) simulation the figures need is one
+   Levioso_serve.Engine.run_cell, the same cell path the daemon and
+   levioso_sim use.  Cells are independent, so the matrix is computed up
+   front on a domain pool (-j N, default all cores) and memoized;
+   figures then only read the memo.  Results are deterministic: -j N
+   output is bit-identical to -j 1.  Finished cells are also persisted
+   under bench/.cache keyed by config digest + workload + policy + a
+   digest of this executable, so a warm re-run (e.g. --only fig3 after a
+   full run) replays from disk instead of re-simulating; any rebuild or
+   config change misses.  Each run also drops BENCH_matrix.json
+   (per-cell wall clock + totals) in the working directory. *)
 
 module Config = Levioso_uarch.Config
 module Pipeline = Levioso_uarch.Pipeline
 module Sim_stats = Levioso_uarch.Sim_stats
-module Cache = Levioso_uarch.Cache
 module Summary = Levioso_uarch.Summary
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
 module Registry = Levioso_core.Registry
-module Explain = Levioso_core.Explain
 module Annotation = Levioso_core.Annotation
 module Workload = Levioso_workload.Workload
 module Suite = Levioso_workload.Suite
@@ -61,6 +60,7 @@ module Hostprof = Levioso_telemetry.Hostprof
 module Sampler = Levioso_uarch.Sampler
 module Serve_protocol = Levioso_serve.Protocol
 module Serve_client = Levioso_serve.Client
+module Engine = Levioso_serve.Engine
 
 let quick = ref false
 let only : string list ref = ref []
@@ -76,8 +76,8 @@ let progress_file : string option ref = ref None
 let metrics_file : string option ref = ref None
 
 (* --remote SOCKET: the whole matrix is submitted to a levioso_serve
-   daemon instead of being simulated in-process.  The daemon's cell
-   execution makes exactly the same calls as [simulate], so figures and
+   daemon instead of being simulated in-process.  The daemon runs each
+   cell through the same Engine.run_cell as a local run, so figures and
    --json output are bit-identical either way. *)
 let remote : string option ref = ref None
 let cache_prune : int option ref = ref None
@@ -114,111 +114,23 @@ let fig8_schemes =
 (* ------------------------------------------------------------------ *)
 
 (* Pipelines are too big to cache whole (8 MB of simulated memory each),
-   so each cell keeps its counters plus the machine-readable summary the
-   --json report and the on-disk cache reuse. *)
-type cell_result = {
-  stats : Sim_stats.t;
-  summary : Json.t;
-  wall_s : float;
-  source : string; (* "sim" | "disk" | "sampled" *)
-  host : Json.t;
-      (* host self-profiling phases (wall clock + Gc.quick_stat deltas);
-         lands in BENCH_matrix.json, deliberately NOT in the --json
-         summaries, which are byte-compared across -j N *)
-}
-
-let matrix : (Config.t * string * string, cell_result) Hashtbl.t =
+   so the memo keeps each cell's engine outcome: its counters, the
+   machine-readable summary the --json report reuses, and the host
+   phases BENCH_matrix.json reports. *)
+let matrix : (Config.t * string * string, Engine.outcome) Hashtbl.t =
   Hashtbl.create 256
 
 let matrix_mutex = Mutex.create ()
 let disk : Run_cache.t option ref = ref None
 
-(* Two-tier sampled cell: the Sampler replaces Pipeline.run, and the
-   extrapolated cycle estimate is written into stats.cycles so every
-   figure (they all read stats.cycles) transparently plots estimates.
-   The summary keeps the sampling block (estimate, error bound, interval
-   accounting) for the --json export. *)
-let simulate_sampled sp config (w : Workload.t) policy =
-  let t0 = Unix.gettimeofday () in
-  let r, run_span =
-    Hostprof.measure (fun () ->
-        Sampler.run ~mem_init:w.Workload.mem_init sp config
-          ~policy:(Registry.find_exn policy) w.Workload.program)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let summary = Summary.of_sampled ~workload:w.Workload.name ~policy r in
-  let stats = r.Sampler.stats in
-  stats.Sim_stats.cycles <- r.Sampler.estimated_cycles;
+let protocol_cell config (w : Workload.t) policy =
   {
-    stats;
-    summary;
-    wall_s;
-    source = "sampled";
-    host = Hostprof.phases_to_json [ ("run", run_span) ];
+    Serve_protocol.config;
+    workload = w.Workload.name;
+    policy;
+    audit = !audit;
+    sample = !sample;
   }
-
-let simulate config (w : Workload.t) policy =
-  match !sample with
-  | Some sp -> simulate_sampled sp config w policy
-  | None ->
-  let t0 = Unix.gettimeofday () in
-  (* Each cell gets a private recorder, so -j N stays bit-identical. *)
-  let audit_rec =
-    if !audit then Some (Explain.audit_for w.Workload.program) else None
-  in
-  let pipe, create_span =
-    Hostprof.measure (fun () ->
-        Pipeline.create ~mem_init:w.Workload.mem_init ?audit:audit_rec config
-          ~policy:(Registry.find_exn policy) w.Workload.program)
-  in
-  let (), run_span = Hostprof.measure (fun () -> Pipeline.run pipe) in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  {
-    stats = Pipeline.stats pipe;
-    summary = Summary.of_pipeline ~workload:w.Workload.name ~policy pipe;
-    wall_s;
-    source = "sim";
-    host =
-      Hostprof.phases_to_json [ ("create", create_span); ("run", run_span) ];
-  }
-
-let compute_cell config (w : Workload.t) policy =
-  match !disk with
-  | None -> simulate config w policy
-  | Some cache -> (
-    let workload = w.Workload.name in
-    let fresh () =
-      let c = simulate config w policy in
-      Run_cache.store cache ~config ~workload ~policy c.summary;
-      c
-    in
-    let replayed, replay_span =
-      Hostprof.measure (fun () ->
-          match Run_cache.find cache ~config ~workload ~policy with
-          | None -> None
-          | Some summary -> (
-            (* the stored summary carries everything the figures read; an
-               entry from a different schema generation is a miss, not a
-               misread *)
-            match Schema.check ~what:"cached summary" summary with
-            | Error _ -> None
-            | Ok () -> (
-              match
-                Option.map Sim_stats.of_json (Json.member "stats" summary)
-              with
-              | Some (Ok stats) -> Some (stats, summary)
-              | Some (Error _) | None -> None)))
-    in
-    match replayed with
-    | None -> fresh ()
-    | Some (stats, summary) ->
-      {
-        stats;
-        summary;
-        wall_s = replay_span.Hostprof.wall_s;
-        source = "disk";
-        host = Hostprof.phases_to_json [ ("replay", replay_span) ];
-      })
 
 (* Memoized, thread-safe access: the simulation itself runs outside the
    lock (the prefetch pass deduplicates keys, so no cell is computed
@@ -228,7 +140,7 @@ let get_cell config (w : Workload.t) policy =
   match Mutex.protect matrix_mutex (fun () -> Hashtbl.find_opt matrix key) with
   | Some c -> c
   | None ->
-    let c = compute_cell config w policy in
+    let c = Engine.run_cell ?cache:!disk (protocol_cell config w policy) in
     Mutex.protect matrix_mutex (fun () ->
         match Hashtbl.find_opt matrix key with
         | Some first -> first
@@ -290,18 +202,7 @@ let cells_of id =
    results back in submission order and the memo is filled from them, so
    figures afterwards never simulate locally. *)
 let remote_fetch socket (todo : (Config.t * Workload.t * string) list) =
-  let cells =
-    List.map
-      (fun (c, (w : Workload.t), p) ->
-        {
-          Serve_protocol.config = c;
-          workload = w.Workload.name;
-          policy = p;
-          audit = !audit;
-          sample = !sample;
-        })
-      todo
-  in
+  let cells = List.map (fun (c, w, p) -> protocol_cell c w p) todo in
   let todo_arr = Array.of_list todo in
   let client = Serve_client.connect socket in
   Fun.protect
@@ -346,31 +247,21 @@ let remote_fetch socket (todo : (Config.t * Workload.t * string) list) =
           | None ->
           let summary = r.Serve_client.summary in
           let stats =
-            match Option.map Sim_stats.of_json (Json.member "stats" summary) with
-            | Some (Ok stats) -> stats
-            | Some (Error msg) ->
-              failwith ("--remote: undecodable stats in result: " ^ msg)
-            | None -> failwith "--remote: result summary has no stats block"
+            match Engine.stats_of_summary summary with
+            | Ok stats -> stats
+            | Error msg -> failwith ("--remote: undecodable result: " ^ msg)
           in
-          (* sampled cells: figures read stats.cycles, which must carry
-             the extrapolated estimate — same fixup as simulate_sampled *)
-          (match
-             Option.bind
-               (Json.member "sampled" summary)
-               (Json.member "estimated_cycles")
-           with
-          | Some (Json.Int n) -> stats.Sim_stats.cycles <- n
-          | _ -> ());
           Hashtbl.replace matrix
             (config, w.Workload.name, p)
             {
+              Engine.summary;
               stats;
-              summary;
               wall_s = r.Serve_client.wall_s;
               source = "remote-" ^ r.Serve_client.source;
+              stages = [];
               (* host self-profiling is local by definition; remote cells
                  have no host phases *)
-              host = Json.Obj [];
+              host = [];
             })
         results)
 
@@ -877,7 +768,7 @@ let write_bench_matrix ~total_wall_s =
     |> List.sort (fun ((c1, w1, p1), _) ((c2, w2, p2), _) ->
            compare (w1, p1, c1) (w2, p2, c2))
   in
-  let entry ((config, w, p), c) =
+  let entry ((config, w, p), (c : Engine.outcome)) =
     Json.Obj
       [
         ("workload", Json.String w);
@@ -887,10 +778,18 @@ let write_bench_matrix ~total_wall_s =
         ("cycles", Json.Int c.stats.Sim_stats.cycles);
         ("wall_s", Json.Float c.wall_s);
         ("source", Json.String c.source);
-        ("host", c.host);
+        ( "host",
+          match c.host with
+          | [] -> Json.Obj []
+          | phases -> Hostprof.phases_to_json phases );
       ]
   in
-  let simulated = List.filter (fun (_, c) -> c.source = "sim") cells in
+  let simulated =
+    List.filter
+      (fun (_, (c : Engine.outcome)) ->
+        c.source = "sim" || c.source = "remote-sim")
+      cells
+  in
   let artifact =
     Schema.tag
       ([
@@ -911,8 +810,10 @@ let write_bench_matrix ~total_wall_s =
         ("simulated", Json.Int (List.length simulated));
         ("replayed", Json.Int (List.length cells - List.length simulated));
         ( "cell_wall_s",
-          Json.Float (List.fold_left (fun a (_, c) -> a +. c.wall_s) 0.0 cells)
-        );
+          Json.Float
+            (List.fold_left
+               (fun a (_, (c : Engine.outcome)) -> a +. c.wall_s)
+               0.0 cells) );
         ("total_wall_s", Json.Float total_wall_s);
       ]
       (* quick runs skip the microbench entirely: omit the key rather
@@ -950,9 +851,6 @@ let () =
       | Some _ | None ->
         prerr_endline "-j expects a non-negative integer (0 = auto)";
         exit 2);
-      parse rest
-    | "--cache" :: rest ->
-      use_cache := true;
       parse rest
     | "--no-cache" :: rest ->
       use_cache := false;
@@ -1008,18 +906,11 @@ let () =
       removed days !cache_dir;
     exit 0
   | None -> ());
-  (* Audited runs can't replay from disk: cached summaries have no audit
-     section and the cache key doesn't cover the flag. *)
-  if !audit then use_cache := false;
-  if !sample <> None then begin
-    (* Sampled cells are estimates; never let them replay as (or pollute
-       the cache of) exact runs, and the two-tier engine has no per-event
-       audit stream to record. *)
-    if !audit then begin
-      prerr_endline "--sample cannot be combined with --audit";
-      exit 2
-    end;
-    use_cache := false
+  (* The two-tier engine has no per-event audit stream to record.  The
+     engine itself keeps audited and sampled cells out of the store. *)
+  if !sample <> None && !audit then begin
+    prerr_endline "--sample cannot be combined with --audit";
+    exit 2
   end;
   (* With --remote, caching is the daemon's business (gated per batch by
      --no-cache); a local store would never be consulted. *)
@@ -1052,7 +943,8 @@ let () =
     let cells =
       Hashtbl.fold
         (fun (config, w, p) c acc ->
-          if config = Config.default then ((w, p), c.summary) :: acc else acc)
+          if config = Config.default then ((w, p), c.Engine.summary) :: acc
+          else acc)
         matrix []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
       |> List.map snd
@@ -1064,12 +956,7 @@ let () =
     Printf.printf "\nwrote %d run summaries to %s\n" (List.length cells) file);
   (* micro-benchmarks run on full sweeps by default; skip with --quick.
      They run before write_bench_matrix so their throughput and
-     minor-words-per-cycle rows land in the artifact ("bech" is kept as
-     an --only alias for older scripts). *)
-  if
-    !run_bechamel
-    || List.mem "bechamel" !only
-    || List.mem "bech" !only
-    || ((not !quick) && !only = [])
+     minor-words-per-cycle rows land in the artifact. *)
+  if !run_bechamel || List.mem "bechamel" !only || ((not !quick) && !only = [])
   then bechamel ();
   write_bench_matrix ~total_wall_s:(Unix.gettimeofday () -. t_start)

@@ -18,15 +18,11 @@
 module Config = Levioso_uarch.Config
 module Pipeline = Levioso_uarch.Pipeline
 module Sim_stats = Levioso_uarch.Sim_stats
-module Cache = Levioso_uarch.Cache
 module Summary = Levioso_uarch.Summary
 module Registry = Levioso_core.Registry
-module Telemetry = Levioso_telemetry.Registry
 module Json = Levioso_telemetry.Json
 module Trace = Levioso_telemetry.Trace
-module Stall = Levioso_telemetry.Stall
 module Audit = Levioso_telemetry.Audit
-module Explain = Levioso_core.Explain
 module Workload = Levioso_workload.Workload
 module Suite = Levioso_workload.Suite
 module Report = Levioso_util.Report
@@ -40,6 +36,8 @@ module Sampler = Levioso_uarch.Sampler
 module Flowtrace = Levioso_telemetry.Flowtrace
 module Gadget = Levioso_attack.Gadget
 module Catalog = Levioso_serve.Catalog
+module Engine = Levioso_serve.Engine
+module Protocol = Levioso_serve.Protocol
 
 let trace_event_of = function
   | Pipeline.Fetched { seq; pc } ->
@@ -56,17 +54,12 @@ let trace_event_of = function
   | Pipeline.Squashed { boundary; count } ->
     ("squash", boundary, -1, [ ("count", Json.Int count) ])
 
-let run_one ?(trace = 0) ?sink ?audit ?timeline ?flow ~registry config workload
-    policy =
-  let maker = Registry.find_exn policy in
-  let pipe, create_span =
-    Hostprof.measure (fun () ->
-        Pipeline.create ~mem_init:workload.Workload.mem_init ~registry ?audit
-          config ~policy:maker workload.Workload.program)
-  in
+(* The pre-run hook levioso_sim hands Engine.run_cell: everything that
+   observes a run attaches to the fresh pipeline here.  [set_tracer]
+   holds a single callback, so text tracing, the structured sink and the
+   timeline multiplex inside one closure. *)
+let attach ~trace ?sink ?audit_sink ?timeline ?flow pipe =
   let text_remaining = ref trace in
-  (* [set_tracer] holds a single callback, so text tracing, the
-     structured sink and the timeline multiplex inside one closure. *)
   if trace > 0 || sink <> None || timeline <> None then
     Pipeline.set_tracer pipe (fun ~cycle event ->
         if !text_remaining > 0 then begin
@@ -89,29 +82,62 @@ let run_one ?(trace = 0) ?sink ?audit ?timeline ?flow ~registry config workload
   (match flow with
   | Some (secret_ranges, cb) -> Pipeline.set_flow_tracer pipe ~secret_ranges cb
   | None -> ());
-  let (), run_span = Hostprof.measure (fun () -> Pipeline.run pipe) in
-  (pipe, [ ("create", create_span); ("run", run_span) ])
+  match (audit_sink, Pipeline.audit pipe) with
+  | Some s, Some a -> Audit.attach_sink a s
+  | _ -> ()
 
-(* Rendered to a string so parallel runs can print cell reports in
-   deterministic workload x policy order after the pool drains. *)
-let verbose_report w p pipe =
+(* Rendered from the cell's summary, so one renderer serves exact and
+   sampled cells, and to a string, so parallel runs can print cell
+   reports in deterministic workload x policy order after the pool
+   drains. *)
+let verbose_report ~sample w p summary =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "== %s / %s ==\n" w p);
+  let row k v = Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v) in
+  let get path = List.fold_left (fun j k -> Json.member_exn k j) summary path in
+  let int path = Json.to_int_exn (get path) in
+  (match sample with
+  | None -> Buffer.add_string buf (Printf.sprintf "== %s / %s ==\n" w p)
+  | Some sp ->
+    Buffer.add_string buf
+      (Printf.sprintf "== %s / %s (sampled %s) ==\n" w p
+         (Sampler.spec_to_string sp));
+    row "estimated cycles"
+      (Printf.sprintf "%d (+/- %.2f%%)"
+         (int [ "sampled"; "estimated_cycles" ])
+         (Json.to_float_exn (get [ "sampled"; "error_pct" ])));
+    row "instrs in detail"
+      (Printf.sprintf "%d of %d (%d intervals)"
+         (int [ "sampled"; "detailed_instrs" ])
+         (int [ "sampled"; "total_instrs" ])
+         (int [ "sampled"; "intervals" ])));
+  (* the stats block holds the detailed counters, not the estimate *)
+  (match Sim_stats.of_json (get [ "stats" ]) with
+  | Ok stats -> List.iter (fun (k, v) -> row k v) (Sim_stats.to_rows stats)
+  | Error msg -> row "stats" msg);
+  let counts path =
+    match get path with
+    | Json.Obj kv -> List.map (fun (k, v) -> (k, Json.to_int_exn v)) kv
+    | _ -> []
+  in
+  List.iter (fun (k, n) -> row k (string_of_int n)) (counts [ "cache" ]);
   List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (Sim_stats.to_rows (Pipeline.stats pipe));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" k v))
-    (Cache.Hierarchy.stats (Pipeline.hierarchy pipe));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (Stall.to_rows (Pipeline.stall_attribution pipe));
-  (match Pipeline.audit pipe with
-  | Some a ->
-    List.iter
-      (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-      (Audit.to_rows a)
-  | None -> ());
+    (fun (cause, n) -> row ("stall " ^ cause) (string_of_int n))
+    (counts [ "stalls"; "by_cause" ]);
+  row "stall total" (string_of_int (int [ "stalls"; "total" ]));
+  if Json.member "audit" summary <> None then begin
+    let with_events kind =
+      Printf.sprintf "%d (%d events)"
+        (int [ "audit"; kind; "cycles" ])
+        (int [ "audit"; kind; "events" ])
+    in
+    row "audit events" (string_of_int (int [ "audit"; "events" ]));
+    row "audit restricted cycles" (string_of_int (int [ "audit"; "cycles" ]));
+    row "audit necessary cycles" (with_events "necessary");
+    row "audit unnecessary cycles" (with_events "unnecessary");
+    row "audit unnecessary share"
+      (Printf.sprintf "%.1f%%"
+         (100.0 *. Json.to_float_exn (get [ "audit"; "unnecessary_share" ])))
+  end;
   Buffer.contents buf
 
 let parse_window = function
@@ -128,28 +154,6 @@ let parse_secret_ranges specs =
       | Error _ as e -> e)
   in
   go [] specs
-
-let sampled_verbose_report w p (r : Sampler.result) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "== %s / %s (sampled %s) ==\n" w p
-       (Sampler.spec_to_string r.Sampler.spec));
-  Buffer.add_string buf
-    (Printf.sprintf "  %-32s %d (+/- %.2f%%)\n" "estimated cycles"
-       r.Sampler.estimated_cycles r.Sampler.error_pct);
-  Buffer.add_string buf
-    (Printf.sprintf "  %-32s %d of %d (%d intervals)\n" "instrs in detail"
-       r.Sampler.detailed_instrs r.Sampler.total_instrs r.Sampler.intervals);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (Sim_stats.to_rows r.Sampler.stats);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" k v))
-    (Cache.Hierarchy.stats r.Sampler.hierarchy);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (Stall.to_rows r.Sampler.stall);
-  Buffer.contents buf
 
 let main workload_names policy_names rob predictor budget verbose trace json
     trace_out trace_every jobs audit_flag audit_out timeline_out
@@ -341,55 +345,23 @@ let main workload_names policy_names rob predictor budget verbose trace json
       (match audit_sink with
       | Some s -> Trace.begin_process s ~name:(w.Workload.name ^ "/" ^ p)
       | None -> ());
-      (* Each cell gets a private registry scoped "<workload>/<policy>/"
-         — same instrument names as one shared root would give, without
-         cross-domain mutation of a shared table. *)
-      let registry =
-        Telemetry.scope
-          (Telemetry.scope (Telemetry.create ()) w.Workload.name)
-          p
+      let o =
+        Engine.run_cell
+          ~attach:(attach ~trace ?sink ?audit_sink ?timeline ?flow)
+          {
+            Protocol.config;
+            workload = w.Workload.name;
+            policy = p;
+            audit = audit_flag;
+            sample = sample_spec;
+          }
       in
-      let audit =
-        if audit_flag then begin
-          let a = Explain.audit_for w.Workload.program in
-          Option.iter (fun s -> Audit.attach_sink a s) audit_sink;
-          Some a
-        end
-        else None
-      in
-      let cycles, summary, host, render_verbose =
-        match sample_spec with
-        | Some sp ->
-          let maker = Registry.find_exn p in
-          let r, run_span =
-            Hostprof.measure (fun () ->
-                Sampler.run ~registry ~mem_init:w.Workload.mem_init sp config
-                  ~policy:maker w.Workload.program)
-          in
-          let host = [ ("run", run_span) ] in
-          ( r.Sampler.estimated_cycles,
-            Summary.of_sampled ~workload:w.Workload.name ~policy:p ~host r,
-            host,
-            fun () -> sampled_verbose_report w.Workload.name p r )
-        | None ->
-          let pipe, host =
-            run_one ~trace ?sink ?audit ?timeline ?flow ~registry config w p
-          in
-          ( (Pipeline.stats pipe).Sim_stats.cycles,
-            Summary.of_pipeline ~workload:w.Workload.name ~policy:p ~host pipe,
-            host,
-            fun () -> verbose_report w.Workload.name p pipe )
-      in
-      Option.iter
-        (fun m ->
-          let wall_s =
-            List.fold_left (fun acc (_, s) -> acc +. s.Hostprof.wall_s) 0. host
-          in
-          Monitor.item_done m ~wall_s ())
-        monitor;
+      Option.iter (fun m -> Monitor.item_done m ~wall_s:o.Engine.wall_s ()) monitor;
       let verbose_text =
         if verbose then begin
-          let text = render_verbose () in
+          let text =
+            verbose_report ~sample:sample_spec w.Workload.name p o.Engine.summary
+          in
           (* serial runs keep the report interleaved with the cell's
              trace output, exactly as before *)
           if jobs = 1 then begin
@@ -400,7 +372,15 @@ let main workload_names policy_names rob predictor budget verbose trace json
         end
         else None
       in
-      (p, cycles, summary, verbose_text)
+      (* the host section goes last, where the summary builders put
+         it; it carries wall clock, so only this CLI's output has it *)
+      let summary =
+        match o.Engine.summary with
+        | Json.Obj fields ->
+          Json.Obj (fields @ [ ("host", Hostprof.phases_to_json o.Engine.host) ])
+        | other -> other
+      in
+      (p, o.Engine.stats.Sim_stats.cycles, summary, verbose_text)
     in
     let results = Parallel.with_pool ~size:jobs (fun pool ->
         Parallel.map pool run_cell cells)

@@ -9,15 +9,18 @@ module Explain = Levioso_core.Explain
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
 module Span = Levioso_telemetry.Span
+module Hostprof = Levioso_telemetry.Hostprof
 module Workload = Levioso_workload.Workload
 
 type scope = { spans : Span.t; trace : string; parent : int }
 
 type outcome = {
   summary : Json.t;
+  stats : Sim_stats.t;
   source : string;
   wall_s : float;
   stages : (string * float) list;
+  host : (string * Hostprof.span) list;
 }
 
 let validate_cell (c : Protocol.cell) =
@@ -40,19 +43,26 @@ let validate_cell (c : Protocol.cell) =
 let cacheable (c : Protocol.cell) =
   (* Audited summaries carry provenance the key does not cover, and
      sampled summaries are estimates: neither may replay as (or shadow)
-     an exact run — the same rule bench applies locally. *)
+     an exact run. *)
   (not c.Protocol.audit) && c.Protocol.sample = None
 
-(* A stored summary is trusted only if it declares the current artifact
-   schema and its stats block parses — mirroring bench's replay guard,
-   so daemon replays are exactly as strict as local ones. *)
-let replayable summary =
-  match Schema.check ~what:"cached summary" summary with
-  | Error _ -> false
-  | Ok () -> (
-    match Option.map Sim_stats.of_json (Json.member "stats" summary) with
-    | Some (Ok _) -> true
-    | Some (Error _) | None -> false)
+(* Figures read [stats.cycles]; for a sampled cell it must carry the
+   extrapolated estimate, not the detailed-interval count the summary's
+   stats block holds.  Fresh, replayed and remote cells all pass here. *)
+let with_estimate summary (stats : Sim_stats.t) =
+  (match
+     Option.bind (Json.member "sampled" summary) (Json.member "estimated_cycles")
+   with
+  | Some (Json.Int n) -> stats.Sim_stats.cycles <- n
+  | _ -> ());
+  stats
+
+let stats_of_summary summary =
+  let ( let* ) = Result.bind in
+  let* () = Schema.check ~what:"cell summary" summary in
+  match Json.member "stats" summary with
+  | None -> Error "cell summary has no stats block"
+  | Some block -> Result.map (with_estimate summary) (Sim_stats.of_json block)
 
 (* Stage timing is Option-gated on [scope]: with tracing off no clock
    is read and no span allocated, so the untraced path is exactly the
@@ -77,83 +87,89 @@ let staged scope name ?(attrs = fun _ -> []) stages f =
       record [ ("error", Printexc.to_string e) ];
       raise e)
 
-let run_cell ?cache ?scope (c : Protocol.cell) =
+(* The one place a cell is simulated.  [attach] sees the pipeline after
+   creation and before the run, so tracers and sinks observe every
+   event; nothing it can attach changes the summary. *)
+let simulate ?attach (c : Protocol.cell) =
   let w = Catalog.find_workload_exn c.Protocol.workload in
   let policy = Registry.find_exn c.Protocol.policy in
-  let config = c.Protocol.config in
-  let workload = c.Protocol.workload in
-  let stages = ref [] in
-  let t0 = Unix.gettimeofday () in
-  let replay =
-    match cache with
-    | Some store when cacheable c -> (
-      let found =
-        staged scope "cache_probe"
-          ~attrs:(fun r ->
-            [ ("hit", if r = None then "false" else "true") ])
-          stages
-          (fun () ->
-            Run_cache.find store ~config ~workload ~policy:c.Protocol.policy)
-      in
-      match found with
-      | Some summary ->
-        let ok =
-          staged scope "replay"
-            ~attrs:(fun ok ->
-              [ ("replayable", if ok then "true" else "false") ])
-            stages
-            (fun () -> replayable summary)
-        in
-        if ok then Some summary else None
-      | None -> None)
-    | _ -> None
-  in
-  match replay with
-  | Some summary ->
-    {
-      summary;
-      source = "cache";
-      wall_s = Unix.gettimeofday () -. t0;
-      stages = List.rev !stages;
-    }
+  let workload = c.Protocol.workload and config = c.Protocol.config in
+  let mem_init = w.Workload.mem_init and program = w.Workload.program in
+  match c.Protocol.sample with
+  | Some sp ->
+    let r, run =
+      Hostprof.measure (fun () -> Sampler.run ~mem_init sp config ~policy program)
+    in
+    let summary = Summary.of_sampled ~workload ~policy:c.Protocol.policy r in
+    (summary, with_estimate summary r.Sampler.stats, [ ("run", run) ])
   | None ->
-    let summary =
-      staged scope "simulate"
-        ~attrs:(fun _ ->
-          [ ("workload", workload); ("policy", c.Protocol.policy) ])
+    (* each cell gets a private recorder, so -j N stays bit-identical *)
+    let audit =
+      if c.Protocol.audit then Some (Explain.audit_for program) else None
+    in
+    let pipe, create =
+      Hostprof.measure (fun () ->
+          Pipeline.create ~mem_init ?audit config ~policy program)
+    in
+    Option.iter (fun f -> f pipe) attach;
+    let (), run = Hostprof.measure (fun () -> Pipeline.run pipe) in
+    ( Summary.of_pipeline ~workload ~policy:c.Protocol.policy pipe,
+      Pipeline.stats pipe,
+      [ ("create", create); ("run", run) ] )
+
+let probe scope stages store (c : Protocol.cell) =
+  let found =
+    staged scope "cache_probe"
+      ~attrs:(fun r -> [ ("hit", if r = None then "false" else "true") ])
+      stages
+      (fun () ->
+        Run_cache.find store ~config:c.Protocol.config
+          ~workload:c.Protocol.workload ~policy:c.Protocol.policy)
+  in
+  Option.bind found (fun summary ->
+      staged scope "replay"
+        ~attrs:(fun r ->
+          [ ("replayable", if r = None then "false" else "true") ])
         stages
         (fun () ->
-          match c.Protocol.sample with
-          | Some sp ->
-            let r =
-              Sampler.run ~mem_init:w.Workload.mem_init sp config ~policy
-                w.Workload.program
-            in
-            Summary.of_sampled ~workload ~policy:c.Protocol.policy r
-          | None ->
-            let audit =
-              if c.Protocol.audit then
-                Some (Explain.audit_for w.Workload.program)
-              else None
-            in
-            (* Exactly the calls a local serial bench cell makes — same
-               pipeline construction, same summarizer, no host section —
-               so the streamed summary is bit-identical to an in-process
-               run. *)
-            let pipe =
-              Pipeline.create ~mem_init:w.Workload.mem_init ?audit config
-                ~policy w.Workload.program
-            in
-            Pipeline.run pipe;
-            Summary.of_pipeline ~workload ~policy:c.Protocol.policy pipe)
-    in
-    (match cache with
-    | Some store when cacheable c ->
-      Run_cache.store store ~config ~workload ~policy:c.Protocol.policy summary
-    | _ -> ());
+          match stats_of_summary summary with
+          | Ok stats -> Some (summary, stats)
+          | Error _ -> None))
+
+let run_cell ?cache ?scope ?attach (c : Protocol.cell) =
+  let cache = if cacheable c then cache else None in
+  let stages = ref [] in
+  let t0 = Unix.gettimeofday () in
+  let finish source (summary, stats, host) =
     {
       summary;
-      source = "sim";
+      stats;
+      source;
       wall_s = Unix.gettimeofday () -. t0;
       stages = List.rev !stages;
+      host;
     }
+  in
+  let replayed =
+    Option.bind cache (fun store ->
+        match Hostprof.measure (fun () -> probe scope stages store c) with
+        | Some (summary, stats), span ->
+          Some (summary, stats, [ ("replay", span) ])
+        | None, _ -> None)
+  in
+  match replayed with
+  | Some hit -> finish "cache" hit
+  | None ->
+    let ((summary, _, _) as fresh) =
+      staged scope "simulate"
+        ~attrs:(fun _ ->
+          [ ("workload", c.Protocol.workload); ("policy", c.Protocol.policy) ])
+        stages
+        (fun () -> simulate ?attach c)
+    in
+    Option.iter
+      (fun store ->
+        Run_cache.store store ~config:c.Protocol.config
+          ~workload:c.Protocol.workload ~policy:c.Protocol.policy summary)
+      cache;
+    finish "sim" fresh

@@ -116,7 +116,4 @@ val to_json : ?top_k:int -> t -> Json.t
     unnecessary_share, by_reason: {...}, top_pcs: [...]}];
     [top_k] defaults to 10.  Deterministic. *)
 
-val to_rows : t -> (string * string) list
-(** Text rendering for verbose reports. *)
-
 val event_to_json : event -> Json.t

@@ -68,11 +68,8 @@ let write t ~dir ~reason ~ts =
   | None -> Error "flight recorder: no free postmortem-NNN.json slot"
   | Some path -> (
       try
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        Json.to_channel oc json;
-        output_char oc '\n';
-        close_out oc;
-        Sys.rename tmp path;
+        Atomic_file.write path (fun oc ->
+            Json.to_channel oc json;
+            output_char oc '\n');
         Ok path
       with Sys_error e -> Error e)

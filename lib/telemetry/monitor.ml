@@ -243,11 +243,7 @@ let status_line_locked t now =
   if String.length line > 120 then String.sub line 0 117 ^ "..." else line
 
 let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
+  Atomic_file.write path (fun oc -> output_string oc content)
 
 let render_locked ?(final = false) t =
   let now = Unix.gettimeofday () in

@@ -68,5 +68,3 @@ val top_k : t -> k:int -> (int * int * (cause * int) list) list
 val to_json : ?top_k:int -> t -> Json.t
 (** [{total, by_cause: {...}, top_pcs: [{pc, total, causes}]}];
     [top_k] defaults to 10. *)
-
-val to_rows : t -> (string * string) list

@@ -113,24 +113,15 @@ let find t ~config ~workload ~policy =
   | Some _ as hit -> hit
   | None -> read_entry (flat_path t ~config ~workload ~policy)
 
-(* Every store writes a process-and-call-unique temp file and renames it
-   over the entry, so two writers racing on the same key each publish a
-   complete entry (last rename wins) and a concurrent reader only ever
-   opens a fully written file. *)
-let tmp_counter = Atomic.make 0
-
+(* Every store publishes through [Atomic_file]: two writers racing on
+   the same key each publish a complete entry (last rename wins) and a
+   concurrent reader only ever opens a fully written file. *)
 let store t ~config ~workload ~policy summary =
   let file = path t ~config ~workload ~policy in
   mkdir_p (Filename.dirname file);
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_counter 1)
-  in
-  let oc = open_out_bin tmp in
-  Json.to_channel oc summary;
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp file
+  Levioso_telemetry.Atomic_file.write file (fun oc ->
+      Json.to_channel oc summary;
+      output_char oc '\n')
 
 (* --- hygiene ---------------------------------------------------------- *)
 

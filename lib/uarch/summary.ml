@@ -2,9 +2,8 @@ module Json = Levioso_telemetry.Json
 module Stall = Levioso_telemetry.Stall
 module Audit = Levioso_telemetry.Audit
 module Schema = Levioso_telemetry.Schema
-module Hostprof = Levioso_telemetry.Hostprof
 
-let of_pipeline ?workload ?policy ?host ?(top_k = 10) pipe =
+let of_pipeline ?workload ?policy ?(top_k = 10) pipe =
   let label key v =
     match v with
     | Some s -> [ (key, Json.String s) ]
@@ -14,11 +13,6 @@ let of_pipeline ?workload ?policy ?host ?(top_k = 10) pipe =
     match Pipeline.audit pipe with
     | None -> []
     | Some a -> [ ("audit", Audit.to_json ~top_k a) ]
-  in
-  let host =
-    match host with
-    | None -> []
-    | Some phases -> [ ("host", Hostprof.phases_to_json phases) ]
   in
   Json.Obj
     (Schema.field :: label "workload" workload
@@ -32,18 +26,13 @@ let of_pipeline ?workload ?policy ?host ?(top_k = 10) pipe =
                (Cache.Hierarchy.stats (Pipeline.hierarchy pipe))) );
         ("stalls", Stall.to_json ~top_k (Pipeline.stall_attribution pipe));
       ]
-    @ audit @ host)
+    @ audit)
 
-let of_sampled ?workload ?policy ?host ?(top_k = 10) (r : Sampler.result) =
+let of_sampled ?workload ?policy ?(top_k = 10) (r : Sampler.result) =
   let label key v =
     match v with
     | Some s -> [ (key, Json.String s) ]
     | None -> []
-  in
-  let host =
-    match host with
-    | None -> []
-    | Some phases -> [ ("host", Hostprof.phases_to_json phases) ]
   in
   Json.Obj
     (Schema.field :: label "workload" workload
@@ -57,8 +46,7 @@ let of_sampled ?workload ?policy ?host ?(top_k = 10) (r : Sampler.result) =
                (Cache.Hierarchy.stats r.Sampler.hierarchy)) );
         ("stalls", Stall.to_json ~top_k r.Sampler.stall);
         ("sampled", Sampler.to_json r);
-      ]
-    @ host)
+      ])
 
 let runs summaries = Schema.tag [ ("runs", Json.List summaries) ]
 

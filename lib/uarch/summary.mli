@@ -10,15 +10,16 @@
      "cache": {l1_hits, …},
      "stalls": {total, by_cause: {policy_gate, operand_wait, lsq_order,
                 rob_full, exec_port}, top_pcs: […]},
-     "audit": {…},          (only when the run was audited)
-     "host": {phases: {…}, total: {wall_s, minor_words, …}}}
-                            (only when host profiling was requested)
-    v} *)
+     "audit": {…}}          (only when the run was audited)
+    v}
+
+    Summaries carry no wall clock, so they are byte-comparable across
+    runs; [levioso_sim --json] appends a last ["host"] field
+    ([Levioso_telemetry.Hostprof.phases_to_json]) to its own output. *)
 
 val of_pipeline :
   ?workload:string ->
   ?policy:string ->
-  ?host:(string * Levioso_telemetry.Hostprof.span) list ->
   ?top_k:int ->
   Pipeline.t ->
   Levioso_telemetry.Json.t
@@ -26,16 +27,11 @@ val of_pipeline :
     given; [top_k] (default 10) bounds the costliest-PC lists in the
     stall and audit breakdowns.  When the pipeline was created with an
     audit recorder, an ["audit"] section
-    ([Levioso_telemetry.Audit.to_json]) is appended.  [host] attaches a
-    host self-profiling section (named phases measured with
-    [Levioso_telemetry.Hostprof.measure]); note the section carries wall
-    clock, so summaries meant to be byte-compared across runs should
-    omit it. *)
+    ([Levioso_telemetry.Audit.to_json]) is appended. *)
 
 val of_sampled :
   ?workload:string ->
   ?policy:string ->
-  ?host:(string * Levioso_telemetry.Hostprof.span) list ->
   ?top_k:int ->
   Sampler.result ->
   Levioso_telemetry.Json.t

@@ -160,6 +160,7 @@ let iter t f xs = ignore (map t (fun x -> f x) xs : unit list)
 (* --- single-task futures (the daemon's scheduling primitive) --- *)
 
 type 'a outcome =
+  | Deferred of (unit -> unit)
   | Running
   | Finished of 'a
   | Failed of exn * Printexc.raw_backtrace
@@ -204,13 +205,22 @@ let async t f =
     Condition.broadcast fut.fcond;
     Mutex.unlock fut.fmu
   in
-  (* A serial pool computes at submission time, in the calling thread —
-     same degenerate path as [map]. *)
-  if t.pool_size <= 1 then run () else submit t (Task run);
+  (* A serial pool has no worker: the first [await] runs the task in the
+     awaiting thread, so a caller that awaits futures in order sees each
+     one finish before the next starts. *)
+  if t.pool_size <= 1 then fut.fstate <- Deferred run
+  else submit t (Task run);
   fut
 
 let await fut =
   Mutex.lock fut.fmu;
+  (match fut.fstate with
+  | Deferred run ->
+    fut.fstate <- Running;
+    Mutex.unlock fut.fmu;
+    run ();
+    Mutex.lock fut.fmu
+  | Running | Finished _ | Failed _ -> ());
   while (match fut.fstate with Running -> true | _ -> false) do
     Condition.wait fut.fcond fut.fmu
   done;
@@ -219,11 +229,15 @@ let await fut =
   match state with
   | Finished y -> y
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Running -> assert false
+  | Deferred _ | Running -> assert false
 
 let peek fut =
   Mutex.lock fut.fmu;
-  let done_ = (match fut.fstate with Running -> false | _ -> true) in
+  let done_ =
+    match fut.fstate with
+    | Deferred _ | Running -> false
+    | Finished _ | Failed _ -> true
+  in
   Mutex.unlock fut.fmu;
   done_
 
@@ -231,7 +245,7 @@ let times fut =
   Mutex.lock fut.fmu;
   let r =
     match fut.fstate with
-    | Running -> None
+    | Deferred _ | Running -> None
     | Finished _ | Failed _ ->
       Some
         {

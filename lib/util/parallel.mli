@@ -60,9 +60,11 @@ val iter : t -> ('a -> unit) -> 'a list -> unit
 type 'a future
 
 val async : t -> (unit -> 'a) -> 'a future
-(** Schedule one task.  On a serial (size-1) pool the task runs
-    immediately in the calling thread.  On a bounded pool this blocks
-    while the queue is full (backpressure).
+(** Schedule one task.  On a serial (size-1) pool the task is deferred:
+    the first {!await} runs it in the awaiting thread (no domain or
+    thread is started), and until then {!peek} and {!times} report it
+    as not started.  On a bounded pool this blocks while the queue is
+    full (backpressure).
 
     @raise Invalid_argument if the pool has been shut down. *)
 

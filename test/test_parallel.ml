@@ -36,6 +36,31 @@ let test_size_one_is_serial () =
           Alcotest.(check bool) "ran in calling domain" true (d = caller))
         ran_in)
 
+(* A serial pool's future runs nothing until awaited, then runs in the
+   awaiting thread: a caller awaiting in order sees each result before
+   the next task starts, which is what lets a one-worker daemon stream. *)
+let test_size_one_async_deferred () =
+  Parallel.with_pool ~size:1 (fun pool ->
+      let ran = ref [] in
+      let task i () =
+        ran := i :: !ran;
+        Thread.self () |> Thread.id
+      in
+      let a = Parallel.async pool (task 1) in
+      let b = Parallel.async pool (task 2) in
+      Alcotest.(check (list int)) "nothing runs at submission" [] !ran;
+      Alcotest.(check bool) "deferred is not done" false (Parallel.peek a);
+      Alcotest.(check bool) "deferred has no stamps" true
+        (Parallel.times a = None);
+      Alcotest.(check int) "ran in the awaiting thread"
+        (Thread.id (Thread.self ()))
+        (Parallel.await a);
+      Alcotest.(check (list int)) "only the awaited task ran" [ 1 ] !ran;
+      Alcotest.(check bool) "settled" true (Parallel.times a <> None);
+      ignore (Parallel.await b : int);
+      ignore (Parallel.await b : int);
+      Alcotest.(check (list int)) "each task runs once" [ 2; 1 ] !ran)
+
 let test_size_clamped () =
   Parallel.with_pool ~size:(-3) (fun pool ->
       Alcotest.(check int) "negative clamps to 1" 1 (Parallel.size pool))
@@ -161,8 +186,8 @@ let test_parallel_matrix_bit_identical () =
 (* The observational timing hook behind the serve daemon's queue-wait /
    execution-time accounting: stamps exist exactly once a future
    settles, are ordered, and show real queue wait on a saturated pool.
-   (A size-1 pool runs async inline at submission, so saturation needs
-   two real workers held at a gate.) *)
+   (A size-1 pool defers each task to its first await, so saturation
+   needs two real workers held at a gate.) *)
 let test_future_times () =
   Parallel.with_pool ~size:2 (fun pool ->
       let release = Atomic.make false in
@@ -210,6 +235,8 @@ let suite =
       Alcotest.test_case "empty and singleton" `Quick test_empty_and_singleton;
       Alcotest.test_case "size 1 degenerates to serial" `Quick
         test_size_one_is_serial;
+      Alcotest.test_case "size 1 async deferred to await" `Quick
+        test_size_one_async_deferred;
       Alcotest.test_case "size is clamped" `Quick test_size_clamped;
       Alcotest.test_case "exceptions propagate" `Quick test_exceptions_propagate;
       Alcotest.test_case "map after shutdown raises" `Quick

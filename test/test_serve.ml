@@ -7,6 +7,7 @@
 
 module Config = Levioso_uarch.Config
 module Run_cache = Levioso_uarch.Run_cache
+module Sim_stats = Levioso_uarch.Sim_stats
 module Sampler = Levioso_uarch.Sampler
 module Json = Levioso_telemetry.Json
 module Tsdb = Levioso_telemetry.Tsdb
@@ -236,10 +237,23 @@ let test_engine_deterministic_and_cached () =
   Alcotest.(check string) "replay is bit-identical"
     (Json.to_string a.Engine.summary)
     (Json.to_string b.Engine.summary);
+  let stats o = Json.to_string (Sim_stats.to_json o.Engine.stats) in
+  Alcotest.(check string) "replayed stats equal the fresh run's" (stats a)
+    (stats b);
   let fresh = Engine.run_cell c in
   Alcotest.(check string) "uncached rerun is bit-identical"
     (Json.to_string a.Engine.summary)
-    (Json.to_string fresh.Engine.summary)
+    (Json.to_string fresh.Engine.summary);
+  (* an audited summary carries provenance the store key does not cover *)
+  let audited = cell ~workload:"matmul" ~audit:true () in
+  let first = Engine.run_cell ~cache audited in
+  let again = Engine.run_cell ~cache audited in
+  Alcotest.(check (list string)) "audited cells always simulate"
+    [ "sim"; "sim" ] [ first.Engine.source; again.Engine.source ];
+  Alcotest.(check bool) "audited cell never stored" true
+    (Run_cache.find cache ~config:Config.default ~workload:"matmul"
+       ~policy:"unsafe"
+    = None)
 
 let test_engine_never_caches_estimates () =
   let dir = Filename.temp_file "levioso-serve-engine" "" in
@@ -254,7 +268,15 @@ let test_engine_never_caches_estimates () =
   let a = Engine.run_cell ~cache sampled in
   Alcotest.(check string) "sampled run simulates" "sim" a.Engine.source;
   let b = Engine.run_cell ~cache sampled in
-  Alcotest.(check string) "sampled rerun simulates again" "sim" b.Engine.source
+  Alcotest.(check string) "sampled rerun simulates again" "sim" b.Engine.source;
+  (* figures read stats.cycles, which must carry the estimate *)
+  let estimate =
+    Option.bind (Json.member "sampled" a.Engine.summary)
+      (Json.member "estimated_cycles")
+  in
+  Alcotest.(check (option int)) "stats.cycles is the sampled estimate"
+    (Option.map Json.to_int_exn estimate)
+    (Some a.Engine.stats.Sim_stats.cycles)
 
 (* ---------- live daemon ---------- *)
 
@@ -263,7 +285,8 @@ let temp_socket () =
   (* bind_listener treats the (never-listened-on) leftover as stale *)
   f
 
-let with_server ?queue_max ?cache_dir ?spans ?access_log ?history f =
+let with_server ?(pool_size = 2) ?queue_max ?cache_dir ?spans ?access_log
+    ?history f =
   let socket_path = temp_socket () in
   let cache =
     Option.map (fun dir -> Run_cache.create ~stamp:"t" ~dir ()) cache_dir
@@ -282,7 +305,7 @@ let with_server ?queue_max ?cache_dir ?spans ?access_log ?history f =
             Mutex.unlock ready_mu)
           {
             Server.socket_path;
-            pool_size = 2;
+            pool_size;
             queue_max;
             cache;
             monitor = None;
@@ -556,6 +579,34 @@ let test_bounded_queue_backpressure () =
         (local_summaries cells) (summaries results);
       Client.close c)
 
+(* A one-worker daemon streams each result as it finishes instead of
+   computing the whole batch before the first frame: with six cells of
+   similar cost the first result lands well before the batch is done. *)
+let test_serial_daemon_streams () =
+  with_server ~pool_size:1 (fun socket ->
+      let c = Client.connect socket in
+      let cells =
+        List.init 6 (fun i ->
+            cell ~config:{ Config.default with Config.rob_size = 64 + i } ())
+      in
+      let timings = ref None in
+      let results, stats =
+        Client.submit ~cache:false c cells ~timings:(fun t -> timings := Some t)
+      in
+      Alcotest.(check int) "all cells computed" 6 stats.Protocol.simulated;
+      Alcotest.(check (list string))
+        "serial-daemon results match local"
+        (local_summaries cells) (summaries results);
+      (match !timings with
+      | Some { Client.first_result_s = Some first; total_s; _ } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "first result (%.3fs) before half the batch (%.3fs)"
+             first total_s)
+          true
+          (first < total_s /. 2.)
+      | _ -> Alcotest.fail "no timings for a non-empty batch");
+      Client.close c)
+
 (* Continuous telemetry end-to-end: a daemon run with history enabled
    returns bit-identical results, records monotone samples carrying the
    expected operational fields, fires the configured alert once traffic
@@ -665,6 +716,8 @@ let suite =
         test_concurrent_clients_bit_identical;
       Alcotest.test_case "daemon: bounded-queue backpressure" `Quick
         test_bounded_queue_backpressure;
+      Alcotest.test_case "daemon: serial pool streams results" `Quick
+        test_serial_daemon_streams;
       Alcotest.test_case "daemon: mixed batch partial failure" `Quick
         test_mixed_batch_partial_failure;
       Alcotest.test_case "daemon: traced end-to-end" `Quick test_traced_daemon;
