@@ -1,114 +1,52 @@
 module Ir = Levioso_ir.Ir
 module Pipeline = Levioso_uarch.Pipeline
-module Config = Levioso_uarch.Config
+module Depmatrix = Levioso_uarch.Depmatrix
 
-(* Dependency set of one in-flight instruction: the dynamic branch
-   instances (sequence numbers) it depends on, or [All] after a budget
-   overflow. *)
-type depset =
-  | Deps of int list
-  | All
-
-(* Union with pruning: branch instances that have already resolved no
-   longer constrain anything, and dropping them here is what keeps
-   dependency sets from growing along loop-carried chains (an induction
-   variable would otherwise accumulate every past loop-branch instance and
-   overflow the budget).  In hardware this is the tag-broadcast that clears
-   dependency-matrix columns when a branch resolves. *)
-let union ~still_unresolved budget a b =
-  match (a, b) with
-  | All, _ | _, All -> All
-  | Deps xs, Deps ys ->
-    let merged =
-      List.sort_uniq compare
-        (List.filter still_unresolved (List.rev_append xs ys))
-    in
-    if List.length merged > budget then All else Deps merged
-
-let maker ?annotation ?(track_data = true) () (config : Config.t) program pipe =
-  let annotation =
-    match annotation with
-    | Some a -> a
-    | None -> Annotation.analyze program
-  in
-  let budget = config.Config.depset_budget in
-  (* Active unresolved branch instances, oldest first:
-     (seq, reconvergence pc option). *)
-  let active : (int * int option) list ref = ref [] in
-  let depsets : (int, depset) Hashtbl.t = Hashtbl.create 256 in
-  let depset_of seq =
-    Option.value ~default:(Deps []) (Hashtbl.find_opt depsets seq)
-  in
-  let still_unresolved s = Pipeline.is_unresolved_branch pipe s in
+let maker ?(track_data = true) () config program pipe =
+  let annotation = Annotation.analyze program in
+  (* Row per in-flight instruction: the unresolved branch instances it
+     depends on.  The scratch row is the active-branch set; [reconv] holds
+     each active branch's reconvergence pc by slot (-1 = none). *)
+  let m = Depmatrix.create config in
+  let active = Depmatrix.scratch m in
+  let reconv = Array.make config.Levioso_uarch.Config.rob_size (-1) in
   let on_decode ~seq =
     let pc = Pipeline.pc_of pipe seq in
     (* Fetch reached this pc: every active instance whose reconvergence pc
        this is deactivates — the instruction itself is already
        reconverged with respect to those branches. *)
-    active :=
-      List.filter
-        (fun (s, reconv) -> reconv <> Some pc && still_unresolved s)
-        !active;
-    let control = Deps (List.map fst !active) in
-    let data =
-      if track_data then
-        List.fold_left
-          (fun acc p -> union ~still_unresolved budget acc (depset_of p))
-          (Deps []) (Pipeline.producers_of pipe seq)
-      else Deps []
-    in
-    Hashtbl.replace depsets seq (union ~still_unresolved budget control data);
+    Depmatrix.filter m active (fun col -> reconv.(col) <> pc);
+    let row = Depmatrix.slot m seq in
+    Depmatrix.clear m row;
+    Depmatrix.union_into m ~dst:row ~src:active;
+    if track_data then Depmatrix.inherit_producers m pipe ~dst:row ~seq;
+    Depmatrix.seal m row;
     match Pipeline.instr_of pipe seq with
     | Ir.Branch _ ->
-      let reconv =
-        match Annotation.hint_for annotation pc with
-        | Some (Annotation.Reconverges_at r) -> Some r
-        | Some Annotation.No_reconvergence | None -> None
-      in
-      active := !active @ [ (seq, reconv) ]
+      reconv.(row) <-
+        (match Annotation.hint_for annotation pc with
+        | Some (Annotation.Reconverges_at r) -> r
+        | Some Annotation.No_reconvergence | None -> -1);
+      Depmatrix.add m active ~col:row
     | Ir.Alu _ | Ir.Load _ | Ir.Store _ | Ir.Jump _ | Ir.Flush _
     | Ir.Rdcycle _ | Ir.Halt ->
       ()
   in
   let may_execute ~seq =
-    if not (Pipeline.is_transmitter (Pipeline.instr_of pipe seq)) then true
-    else
-      match depset_of seq with
-      | Deps branches ->
-        List.for_all
-          (fun s -> not (Pipeline.is_unresolved_branch pipe s))
-          branches
-      | All -> not (Pipeline.exists_older_unresolved_branch pipe ~seq)
-  in
-  let on_resolve ~seq = active := List.filter (fun (s, _) -> s <> seq) !active in
-  let on_squash ~boundary =
-    active := List.filter (fun (s, _) -> s <= boundary) !active;
-    Hashtbl.filter_map_inplace
-      (fun seq d -> if seq > boundary then None else Some d)
-      depsets
-  in
-  let on_commit ~seq = Hashtbl.remove depsets seq in
-  (* Provenance: the still-unresolved dynamic branch instances in the
-     dependency set, or the overflow marker after a budget blowout. *)
-  let explain ~seq =
-    match depset_of seq with
-    | All -> Levioso_telemetry.Audit.Overflow
-    | Deps branches ->
-      Levioso_telemetry.Audit.Branch_dep
-        (List.filter_map
-           (fun s ->
-             if Pipeline.is_unresolved_branch pipe s then
-               Some (s, Pipeline.pc_of pipe s)
-             else None)
-           branches)
+    (not (Pipeline.is_transmitter (Pipeline.instr_of pipe seq)))
+    || Depmatrix.may_issue m pipe (Depmatrix.slot m seq) ~seq
   in
   {
-    Pipeline.policy_name = (if track_data then "levioso" else "levioso-ctrl");
+    Pipeline.always_execute_policy with
+    policy_name = (if track_data then "levioso" else "levioso-ctrl");
     on_decode;
-    on_resolve;
-    on_squash;
-    on_commit;
+    (* The tag broadcast: a resolved instance constrains nothing. *)
+    on_resolve =
+      (fun ~seq -> Depmatrix.broadcast m ~col:(Depmatrix.slot m seq));
+    on_squash = (fun ~boundary:_ -> Depmatrix.retain_in_flight m pipe active);
     may_execute;
-    load_visibility = (fun ~seq:_ -> Pipeline.Normal);
-    explain;
+    explain =
+      (fun ~seq ->
+        Depmatrix.explain m pipe (Depmatrix.slot m seq) (fun deps ->
+            Levioso_telemetry.Audit.Branch_dep deps));
   }

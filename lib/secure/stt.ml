@@ -1,105 +1,66 @@
 module Ir = Levioso_ir.Ir
 module Pipeline = Levioso_uarch.Pipeline
-module Config = Levioso_uarch.Config
+module Depmatrix = Levioso_uarch.Depmatrix
 
-(* Taint of a value: the set of root load sequence numbers it (transitively)
-   derives from, or [Conservative] when the hardware tracking budget
-   overflowed.  Roots whose loads are already bound (no older unresolved
-   branch) are pruned on propagation — the hardware untaint broadcast —
-   which keeps loop-carried chains from saturating the budget. *)
-type taint =
-  | Roots of int list
-  | Conservative
-
-let maker (config : Config.t) _program pipe =
-  let budget = config.Config.depset_budget in
-  let taints : (int, taint) Hashtbl.t = Hashtbl.create 256 in
-  let root_bound root_seq =
-    (* A committed load is trivially bound; an in-flight one is bound when
-       no older branch is still unresolved (its visibility point passed). *)
-    root_seq < Pipeline.oldest_seq pipe
-    || not (Pipeline.exists_older_unresolved_branch pipe ~seq:root_seq)
-  in
-  let union a b =
-    match (a, b) with
-    | Conservative, _ | _, Conservative -> Conservative
-    | Roots xs, Roots ys ->
-      let merged =
-        List.sort_uniq compare
-          (List.filter
-             (fun root -> not (root_bound root))
-             (List.rev_append xs ys))
-      in
-      if List.length merged > budget then Conservative else Roots merged
-  in
-  let taint_of seq =
-    Option.value ~default:(Roots []) (Hashtbl.find_opt taints seq)
-  in
+let maker config _program pipe =
+  (* Row per in-flight instruction: the unbound roots its value derives
+     from.  Every seq below [frontier] is bound, its column cleared. *)
+  let m = Depmatrix.create config in
+  let frontier = ref 0 in
   (* Taint feeding an instruction's operands (excluding its own root). *)
   let operand_taint seq =
-    List.fold_left
-      (fun acc p -> union acc (taint_of p))
-      (Roots [])
-      (Pipeline.producers_of pipe seq)
+    let r = Depmatrix.scratch m in
+    Depmatrix.clear m r;
+    Depmatrix.inherit_producers m pipe ~dst:r ~seq;
+    Depmatrix.seal m r;
+    r
   in
   let on_decode ~seq =
-    let base = operand_taint seq in
-    let full =
-      match Pipeline.instr_of pipe seq with
-      | Ir.Load _ -> union base (Roots [ seq ])
-      | Ir.Alu _ | Ir.Store _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _
-      | Ir.Rdcycle _ | Ir.Halt ->
-        base
-    in
-    Hashtbl.replace taints seq full
+    let row = Depmatrix.slot m seq in
+    Depmatrix.clear m row;
+    Depmatrix.inherit_producers m pipe ~dst:row ~seq;
+    (match Pipeline.instr_of pipe seq with
+    | Ir.Load _ when Pipeline.exists_older_unresolved_branch pipe ~seq ->
+      Depmatrix.add m row ~col:row
+    | Ir.Load _ | Ir.Alu _ | Ir.Store _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _
+    | Ir.Rdcycle _ | Ir.Halt ->
+      ());
+    Depmatrix.seal m row
+  in
+  let on_resolve ~seq:_ =
+    let next = Pipeline.next_seq pipe in
+    (* a committed seq's slot may already hold a younger, unbound root *)
+    frontier := max !frontier (Pipeline.oldest_seq pipe);
+    while
+      !frontier < next
+      && not (Pipeline.exists_older_unresolved_branch pipe ~seq:!frontier)
+    do
+      (* only a root still in its own row was ever a column *)
+      let col = Depmatrix.slot m !frontier in
+      if Depmatrix.mem m col ~col then Depmatrix.broadcast m ~col;
+      incr frontier
+    done
   in
   (* STT gates two kinds of instructions on tainted operands: explicit
      transmitters (loads/flushes — the cache channel) and branches (the
      implicit channel: resolving a branch on speculative data changes the
      squash pattern, which is observable).  Everything else propagates
      taint freely. *)
-  let gated instr =
-    Pipeline.is_transmitter instr
-    ||
-    match instr with
-    | Ir.Branch _ -> true
-    | Ir.Alu _ | Ir.Load _ | Ir.Store _ | Ir.Jump _ | Ir.Flush _
-    | Ir.Rdcycle _ | Ir.Halt ->
-      false
-  in
+  let gated instr = Pipeline.is_transmitter instr || Ir.is_branch instr in
   let may_execute ~seq =
-    if not (gated (Pipeline.instr_of pipe seq)) then true
-    else
-      match operand_taint seq with
-      | Roots roots -> List.for_all root_bound roots
-      | Conservative -> not (Pipeline.exists_older_unresolved_branch pipe ~seq)
-  in
-  let on_squash ~boundary =
-    Hashtbl.filter_map_inplace
-      (fun seq t -> if seq > boundary then None else Some t)
-      taints
-  in
-  let on_commit ~seq = Hashtbl.remove taints seq in
-  let explain ~seq =
-    match operand_taint seq with
-    | Conservative -> Levioso_telemetry.Audit.Overflow
-    | Roots roots ->
-      Levioso_telemetry.Audit.Taint
-        (List.filter_map
-           (fun root ->
-             if root_bound root then None
-             else if Pipeline.in_flight pipe root then
-               Some (root, Pipeline.pc_of pipe root)
-             else Some (root, -1))
-           roots)
+    (not (gated (Pipeline.instr_of pipe seq)))
+    || Depmatrix.may_issue m pipe (operand_taint seq) ~seq
   in
   {
-    Pipeline.policy_name = "stt";
+    Pipeline.always_execute_policy with
+    policy_name = "stt";
     on_decode;
-    on_resolve = (fun ~seq:_ -> ());
-    on_squash;
-    on_commit;
+    on_resolve;
+    (* squashed seqs are handed out again *)
+    on_squash = (fun ~boundary -> frontier := min !frontier (boundary + 1));
     may_execute;
-    load_visibility = (fun ~seq:_ -> Pipeline.Normal);
-    explain;
+    explain =
+      (fun ~seq ->
+        Depmatrix.explain m pipe (operand_taint seq) (fun roots ->
+            Levioso_telemetry.Audit.Taint roots));
   }

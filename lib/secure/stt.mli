@@ -17,9 +17,13 @@
       a branch on speculative data changes the squash pattern, an implicit
       channel STT explicitly closes (and a large share of its cost on
       memory-dependent-branch code);
-    - taint sets are capped at the hardware budget
-      ({!Levioso_uarch.Config.t}[.depset_budget]); overflow degrades to
-      "stall while any older unresolved branch exists".
+    - taint lives in the shared {!Levioso_uarch.Depmatrix}: each
+      instruction's row holds the unbound roots its value derives from,
+      ORed from its producers' rows at rename, and a root's column is
+      cleared in every row as it binds (the untaint broadcast);
+    - a row whose popcount exceeds the hardware budget
+      ({!Levioso_uarch.Config.t}[.depset_budget]) saturates and degrades
+      to "stall while any older unresolved branch exists".
 
     The deliberate security gap this reproduces from the paper: data that
     was loaded {e non-speculatively} (or lives in registers) is never

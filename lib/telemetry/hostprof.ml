@@ -23,19 +23,22 @@ let measure f =
   let g0 = Gc.quick_stat () in
   (* quick_stat's minor_words only refreshes at collection points on
      OCaml 5; Gc.minor_words reads the live allocation pointer, so short
-     spans still see their allocation *)
+     spans still see their allocation; its promoted and major words are
+     process-wide on 5.1, so those come from the domain-local counters *)
+  let _, p0, j0 = Gc.counters () in
   let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let x = f () in
   let t1 = Unix.gettimeofday () in
   let m1 = Gc.minor_words () in
+  let _, p1, j1 = Gc.counters () in
   let g1 = Gc.quick_stat () in
   ( x,
     {
       wall_s = t1 -. t0;
       minor_words = m1 -. m0;
-      promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
+      promoted_words = p1 -. p0;
+      major_words = j1 -. j0;
       minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
       major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
       top_heap_words = g1.Gc.top_heap_words;

@@ -1,6 +1,6 @@
 (** Host self-profiling: wall clock + allocator behavior per phase.
 
-    Wraps a computation with [Unix.gettimeofday] and [Gc.quick_stat]
+    Wraps a computation with [Unix.gettimeofday] and GC counter
     deltas so every JSON summary and bench-matrix cell can carry a
     [host] section.  Allocation counts are near-deterministic for a
     deterministic computation (and therefore a useful regression
@@ -19,9 +19,11 @@ type span = {
 }
 
 val measure : (unit -> 'a) -> 'a * span
-(** Runs the thunk on the calling domain; GC deltas are per-domain
-    (OCaml 5), so the span reflects the thunk's own allocation as long
-    as it does not itself spawn domains. *)
+(** Runs the thunk on the calling domain.  The word counts come from
+    the domain-local [Gc.minor_words] and [Gc.counters], so the span
+    reflects the calling domain's own allocation even while other
+    domains allocate (or the thunk spawns them).  Collection counts and
+    [top_heap_words] are process-wide. *)
 
 val add : span -> span -> span
 (** Componentwise sum; [top_heap_words] is the max. *)

@@ -243,12 +243,6 @@ let pc_of t seq = (entry_exn t seq).pc
 let oldest_seq t = t.head_seq
 let next_seq t = t.tail_seq
 
-let is_unresolved_branch t seq =
-  in_flight t seq
-  &&
-  let e = entry_exn t seq in
-  Ir.is_branch e.instr && not e.resolved
-
 let older_unresolved_branches t ~seq =
   let rec count i = if i < t.ub_len && t.ub.(i) < seq then count (i + 1) else i in
   let n = count 0 in

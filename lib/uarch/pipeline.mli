@@ -170,10 +170,6 @@ val oldest_seq : t -> int
 val next_seq : t -> int
 (** The sequence number the next dispatched instruction will get. *)
 
-val is_unresolved_branch : t -> int -> bool
-(** True for an in-flight conditional branch that has not resolved.
-    False for anything else, including committed/squashed seqs. *)
-
 val exists_older_unresolved_branch : t -> seq:int -> bool
 
 val older_unresolved_branches : t -> seq:int -> int list

@@ -6,6 +6,7 @@ module Pipeline = Levioso_uarch.Pipeline
 module Sim_stats = Levioso_uarch.Sim_stats
 module Registry = Levioso_core.Registry
 module Api = Levioso_core.Levioso_api
+module Gen = Levioso_fuzz.Gen
 
 let config =
   { Config.default with Config.mem_words = 65536; predictor = Config.Always_taken }
@@ -236,15 +237,165 @@ let test_static_hints_more_conservative_than_dynamic () =
     true (static_ >= dynamic)
 
 let test_depset_budget_overflow_safe () =
-  (* With a budget of 1 the dependency sets overflow immediately; behaviour
+  (* With a budget of 1 the dependency rows saturate immediately; behaviour
      degrades toward delay but must stay correct. *)
   let tiny = { config with Config.depset_budget = 1 } in
-  match
-    Api.check_against_emulator ~config:tiny ~mem_init:kernel_mem
-      ~policy:"levioso" (Parser.parse_exn kernel)
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  List.iter
+    (fun policy ->
+      match
+        Api.check_against_emulator ~config:tiny ~mem_init:kernel_mem ~policy
+          (Parser.parse_exn kernel)
+      with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail (policy ^ ": " ^ msg))
+    [ "levioso"; "levioso-ctrl"; "stt" ]
+
+(* Two roots loaded under branch A feed one transmitter after branch B,
+   which resolves a miss later than A.  At budget 1 the transmitter's row
+   saturates, so it waits for B instead of A, but only while its producer
+   is in flight: [blocked] keeps a slow miss chain at the head of the
+   window so nothing commits.  The straight-line prologue retires more
+   than a 16-entry ROB before any branch resolves. *)
+let two_root_gadget ~blocked =
+  String.concat "\n"
+    (List.init 20 (fun i -> Printf.sprintf "add r%d, r%d, #1" (1 + (i mod 7)) (1 + (i mod 7))))
+  ^ (if blocked then
+       {|
+      load r10, [r0 + #4000]
+      load r10, [r10 + #4100]
+      load r10, [r10 + #4200]|}
+     else "")
+  ^ {|
+      load r9, [r0 + #512]
+      beq r9, #0, a_body       ; taken and predicted taken: A
+      halt
+    a_body:
+      load r1, [r0 + #2048]    ; two roots under A
+      load r2, [r0 + #2056]
+      add r3, r1, r2
+      load r8, [r0 + #600]
+      load r8, [r8 + #700]     ; gated on A, so B resolves a miss later
+      beq r8, #0, b_body       ; B
+      halt
+    b_body:
+      load r4, [r3 + #3000]    ; tainted by both roots
+      load r5, [r4 + #3100]
+      halt
+  |}
+
+(* Cycle counts of the dependency-tracking policies, recorded with the
+   sorted-list dependency sets the matrix replaced.  ROB 16 and 62 take
+   one word per matrix row, 63 two and 130 three; budget 1 saturates
+   rows early, 8 is the default. *)
+let pinned_cycles =
+  [
+    ( "levioso", 16, 1,
+      [ 882; 310; 310; 15; 143; 99; 81; 193; 4; 80; 72; 75; 73; 173; 161; 186;
+        182; 76; 337; 90; 105; 72; 282 ] );
+    ( "levioso", 16, 8,
+      [ 824; 310; 310; 15; 143; 99; 81; 193; 4; 80; 72; 75; 73; 173; 161; 186;
+        182; 76; 337; 90; 105; 72; 282 ] );
+    ( "levioso", 62, 1,
+      [ 810; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso", 62, 8,
+      [ 684; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso", 63, 1,
+      [ 810; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso", 63, 8,
+      [ 684; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso", 130, 1,
+      [ 810; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso", 130, 8,
+      [ 684; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso-ctrl", 16, 1,
+      [ 838; 310; 310; 15; 143; 99; 81; 193; 4; 80; 72; 75; 73; 173; 161; 186;
+        182; 76; 337; 90; 105; 72; 282 ] );
+    ( "levioso-ctrl", 16, 8,
+      [ 824; 310; 310; 15; 143; 99; 81; 193; 4; 80; 72; 75; 73; 173; 161; 186;
+        182; 76; 337; 90; 105; 72; 282 ] );
+    ( "levioso-ctrl", 62, 1,
+      [ 726; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso-ctrl", 62, 8,
+      [ 684; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso-ctrl", 63, 1,
+      [ 726; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso-ctrl", 63, 8,
+      [ 684; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso-ctrl", 130, 1,
+      [ 726; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "levioso-ctrl", 130, 8,
+      [ 684; 310; 310; 15; 117; 81; 71; 163; 4; 80; 72; 75; 73; 122; 117; 153;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "stt", 16, 1,
+      [ 856; 190; 251; 15; 143; 99; 81; 193; 4; 78; 72; 75; 73; 173; 161; 185;
+        182; 76; 336; 90; 105; 72; 281 ] );
+    ( "stt", 16, 8,
+      [ 856; 190; 191; 15; 143; 99; 81; 193; 4; 78; 72; 75; 73; 173; 161; 185;
+        182; 76; 336; 90; 105; 72; 281 ] );
+    ( "stt", 62, 1,
+      [ 732; 190; 251; 15; 117; 81; 71; 163; 4; 78; 72; 75; 73; 122; 117; 152;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "stt", 62, 8,
+      [ 732; 190; 191; 15; 117; 81; 71; 163; 4; 78; 72; 75; 73; 122; 117; 152;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "stt", 63, 1,
+      [ 732; 190; 251; 15; 117; 81; 71; 163; 4; 78; 72; 75; 73; 122; 117; 152;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "stt", 63, 8,
+      [ 732; 190; 191; 15; 117; 81; 71; 163; 4; 78; 72; 75; 73; 122; 117; 152;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "stt", 130, 1,
+      [ 732; 190; 251; 15; 117; 81; 71; 163; 4; 78; 72; 75; 73; 122; 117; 152;
+        125; 76; 289; 90; 73; 72; 177 ] );
+    ( "stt", 130, 8,
+      [ 732; 190; 191; 15; 117; 81; 71; 163; 4; 78; 72; 75; 73; 122; 117; 152;
+        125; 76; 289; 90; 73; 72; 177 ] );
+  ]
+
+let test_pinned_cycles () =
+  let no_init _ = () in
+  let programs =
+    (Parser.parse_exn kernel, kernel_mem)
+    :: (Parser.parse_exn (two_root_gadget ~blocked:false), no_init)
+    :: (Parser.parse_exn (two_root_gadget ~blocked:true), no_init)
+    :: List.init 20 (fun i -> (Gen.random_program (i + 1), Gen.mem_init (i + 1)))
+  in
+  List.iter
+    (fun (policy, rob, budget, expected) ->
+      let config =
+        {
+          config with
+          Config.predictor = Config.default.Config.predictor;
+          rob_size = rob;
+          depset_budget = budget;
+        }
+      in
+      let actual =
+        List.map
+          (fun (program, mem_init) ->
+            let pipe =
+              Pipeline.create ~mem_init config
+                ~policy:(Registry.find_exn policy) program
+            in
+            Pipeline.run pipe;
+            (Pipeline.stats pipe).Sim_stats.cycles)
+          programs
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s rob %d budget %d" policy rob budget)
+        expected actual)
+    pinned_cycles
 
 let test_fence_stalls_more_than_delay () =
   let fence = run ~mem_init:kernel_mem ~policy:"fence" kernel in
@@ -319,6 +470,7 @@ let suite =
       Alcotest.test_case "static vs dynamic hints" `Quick
         test_static_hints_more_conservative_than_dynamic;
       Alcotest.test_case "budget overflow safe" `Quick test_depset_budget_overflow_safe;
+      Alcotest.test_case "pinned dependency-tracking cycles" `Quick test_pinned_cycles;
       Alcotest.test_case "fence vs delay stalls" `Quick test_fence_stalls_more_than_delay;
       Alcotest.test_case "dom invisible hits" `Quick test_dom_invisible_hits;
       Alcotest.test_case "dom between unsafe and delay" `Quick test_dom_between_unsafe_and_delay;

@@ -389,6 +389,25 @@ let test_hostprof_measure () =
     Alcotest.(check bool) "has total" true (List.mem_assoc "total" kvs)
   | _ -> Alcotest.fail "phases_to_json should be an object"
 
+(* A span counts its own domain's allocation only: an 8 MB array
+   allocated by a domain the thunk spawns must not show up in it. *)
+let test_hostprof_ignores_other_domains () =
+  let (), span =
+    Hostprof.measure (fun () ->
+        let d =
+          Domain.spawn (fun () ->
+              let a = Array.make (1 lsl 20) 0 in
+              a.(1) <- 1;
+              ignore (Sys.opaque_identity a))
+        in
+        Domain.join d)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "alloc_mwords %g excludes the other domain"
+       (Hostprof.alloc_mwords span))
+    true
+    (Hostprof.alloc_mwords span < 0.05)
+
 let suite =
   ( "timeline",
     [
@@ -405,4 +424,6 @@ let suite =
         test_monitored_parallel_matrix_deterministic;
       Alcotest.test_case "monitor files" `Quick test_monitor_files;
       Alcotest.test_case "hostprof measure" `Quick test_hostprof_measure;
+      Alcotest.test_case "hostprof ignores other domains" `Quick
+        test_hostprof_ignores_other_domains;
     ] )

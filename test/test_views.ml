@@ -83,33 +83,6 @@ let test_unresolved_branch_tracking () =
     Alcotest.(check bool) "exists agrees" true exists
   | None -> Alcotest.fail "pc 3 never decoded"
 
-let test_is_unresolved_branch_classification () =
-  let checks = ref [] in
-  let _ =
-    run_with_snoop
-      {|
-        load r1, [r0 + #512]
-        beq r1, #1, skip
-        mov r2, #1
-      skip:
-        halt
-      |}
-      (fun pipe ~seq ->
-        if Pipeline.pc_of pipe seq = 3 && !checks = [] then
-          checks :=
-            [
-              ("branch seq is unresolved at decode past it", Pipeline.is_unresolved_branch pipe 1);
-              ("load is not a branch", Pipeline.is_unresolved_branch pipe 0);
-              ("committed/unknown seq is false", Pipeline.is_unresolved_branch pipe 999);
-            ])
-  in
-  List.iter
-    (fun (msg, v) ->
-      let expected = msg = "branch seq is unresolved at decode past it" in
-      Alcotest.(check bool) msg expected v)
-    !checks;
-  Alcotest.(check bool) "observed" true (!checks <> [])
-
 let test_load_address_if_ready () =
   let results = ref [] in
   let _ =
@@ -196,7 +169,6 @@ let suite =
       Alcotest.test_case "decode order" `Quick test_decode_order_and_pc;
       Alcotest.test_case "producers at rename" `Quick test_producers_captured_at_rename;
       Alcotest.test_case "unresolved branches" `Quick test_unresolved_branch_tracking;
-      Alcotest.test_case "branch classification" `Quick test_is_unresolved_branch_classification;
       Alcotest.test_case "load address view" `Quick test_load_address_if_ready;
       Alcotest.test_case "transmitter classification" `Quick test_is_transmitter_classification;
       Alcotest.test_case "oldest/next seq" `Quick test_oldest_and_next_seq;
